@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .automaton import (
     Action,
@@ -382,15 +383,6 @@ def sample_walk_length(stop_p: float, u: float) -> int:
     return int(math.floor(math.log1p(-u) / math.log1p(-stop_p)))
 
 
-def sample_alg1_iteration(D: int, stream) -> tuple[int, int]:
-    """One pseudocode iteration: signed vertical then horizontal walk extents."""
-    sv = 1 if stream.random() < 0.5 else -1
-    V = sample_walk_length(1.0 / D, stream.random())
-    sh = 1 if stream.random() < 0.5 else -1
-    H = sample_walk_length(1.0 / D, stream.random())
-    return sv * V, sh * H
-
-
 def iteration_hit_move(v: int, h: int, tx: int, ty: int) -> int | None:
     """Move index (1-based) at which the v-then-h iteration first reaches (tx, ty)."""
     if tx == 0 and ty == 0:
@@ -548,6 +540,52 @@ def _int_param(params: dict[str, str], key: str, spec: str, default: int | None 
         raise ValueError(f"algorithm spec {spec!r}: parameter {key!r} must be an integer") from None
 
 
+def _fragment_kind(frag: Fragment) -> tuple[Automaton, dict]:
+    fc = fragment_chi(frag)
+    return fragment_automaton(frag), {
+        "fragment": {"states": frag.n_states, "b": fc.b, "ell": fc.ell, "chi": fc.chi},
+        "ports": fragment_port_ids(frag),
+    }
+
+
+def _nonuniform_search_kind(D: int, ell: int) -> tuple[Automaton, dict]:
+    k = boost_exponent(D, ell)
+    info = {"boost_k": k, "stop_probability": Fraction(1, 2 ** (k * ell))}
+    return build_nonuniform_search(D, ell), info
+
+
+def _uniform_kind(ell: int, n: int, K: int, cap: int) -> tuple[Automaton, dict]:
+    info = {"halt_state": uniform_halt_state(ell, n, K, cap)}
+    return compile_uniform(ell, n, K, cap), info
+
+
+@dataclass(frozen=True)
+class MachineKind:
+    """One spec kind: its parameters in spec order, the defaults of the
+    optional ones (a str default marks a string parameter; the rest are
+    integers), and a builder taking the values positionally and returning
+    (automaton, extra info)."""
+
+    params: tuple[str, ...]
+    build: Callable[..., tuple[Automaton, dict]]
+    defaults: tuple[tuple[str, object], ...] = ()
+
+
+KINDS: dict[str, MachineKind] = {
+    "nonuniform": MachineKind(("D",), lambda D: (build_nonuniform(D), {})),
+    "nonuniform-search": MachineKind(("D", "l"), _nonuniform_search_kind),
+    "coin": MachineKind(("k", "l"), lambda k, ell: _fragment_kind(build_coin(k, ell))),
+    "walk": MachineKind(
+        ("k", "l", "dir"),
+        lambda k, ell, direction: _fragment_kind(build_walk(k, ell, direction)),
+        defaults=(("dir", ""),),
+    ),
+    "search": MachineKind(("k", "l"), lambda k, ell: _fragment_kind(build_search(k, ell))),
+    "uniform": MachineKind(("l", "n", "K", "cap"), _uniform_kind, defaults=(("K", 4), ("cap", 8))),
+    "walkbaseline": MachineKind((), lambda: (build_random_walk_baseline(), {})),
+}
+
+
 def build_from_spec(spec: str) -> tuple[Automaton, dict]:
     """Build a machine from a CLI spec string; returns (automaton, info).
 
@@ -558,62 +596,18 @@ def build_from_spec(spec: str) -> tuple[Automaton, dict]:
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
     params = _parse_params(rest, spec)
-    info: dict = {"kind": kind, "params": {}}
-
-    def frag_info(frag: Fragment) -> dict:
-        fc = fragment_chi(frag)
-        return {"states": frag.n_states, "b": fc.b, "ell": fc.ell, "chi": fc.chi}
-
-    if kind == "nonuniform":
-        D = _int_param(params, "D", spec)
-        info["params"] = {"D": D}
-        return build_nonuniform(D), info
-    if kind == "nonuniform-search":
-        D = _int_param(params, "D", spec)
-        ell = _int_param(params, "l", spec)
-        k = boost_exponent(D, ell)
-        info["params"] = {"D": D, "l": ell}
-        info["boost_k"] = k
-        info["stop_probability"] = Fraction(1, 2 ** (k * ell))
-        return build_nonuniform_search(D, ell), info
-    if kind == "coin":
-        k = _int_param(params, "k", spec)
-        ell = _int_param(params, "l", spec)
-        frag = build_coin(k, ell)
-        info["params"] = {"k": k, "l": ell}
-        info["fragment"] = frag_info(frag)
-        info["ports"] = fragment_port_ids(frag)
-        return fragment_automaton(frag), info
-    if kind == "walk":
-        k = _int_param(params, "k", spec)
-        ell = _int_param(params, "l", spec)
-        direction = params.get("dir", "")
-        frag = build_walk(k, ell, direction)
-        info["params"] = {"k": k, "l": ell, "dir": direction}
-        info["fragment"] = frag_info(frag)
-        info["ports"] = fragment_port_ids(frag)
-        return fragment_automaton(frag), info
-    if kind == "search":
-        k = _int_param(params, "k", spec)
-        ell = _int_param(params, "l", spec)
-        frag = build_search(k, ell)
-        info["params"] = {"k": k, "l": ell}
-        info["fragment"] = frag_info(frag)
-        info["ports"] = fragment_port_ids(frag)
-        return fragment_automaton(frag), info
-    if kind == "uniform":
-        ell = _int_param(params, "l", spec)
-        n = _int_param(params, "n", spec)
-        K = _int_param(params, "K", spec, default=4)
-        cap = _int_param(params, "cap", spec, default=8)
-        info["params"] = {"l": ell, "n": n, "K": K, "cap": cap}
-        info["halt_state"] = uniform_halt_state(ell, n, K, cap)
-        return compile_uniform(ell, n, K, cap), info
-    if kind == "walkbaseline":
-        if params:
-            raise ValueError(f"algorithm spec {spec!r}: walkbaseline takes no parameters")
-        return build_random_walk_baseline(), info
-    raise ValueError(
-        f"unknown algorithm kind {kind!r}; expected one of nonuniform, nonuniform-search, "
-        "coin, walk, search, uniform, walkbaseline"
-    )
+    entry = KINDS.get(kind)
+    if entry is None:
+        raise ValueError(f"unknown algorithm kind {kind!r}; expected one of {', '.join(KINDS)}")
+    if params and not entry.params:
+        raise ValueError(f"algorithm spec {spec!r}: {kind} takes no parameters")
+    defaults = dict(entry.defaults)
+    values: dict = {}
+    for key in entry.params:
+        default = defaults.get(key)
+        if isinstance(default, str):
+            values[key] = params.get(key, default)
+        else:
+            values[key] = _int_param(params, key, spec, default)
+    a, extra = entry.build(*values.values())
+    return a, {"kind": kind, "params": values, **extra}

@@ -140,20 +140,22 @@ def chi(a: Automaton) -> ChiMetric:
     return ChiMetric(b=b, ell=ell, chi=b + math.log2(ell))
 
 
-def sample_step(a: Automaton, s: int, rng) -> int:
-    """One transition from state s; rng is anything with .random() in [0, 1)."""
-    if not (0 <= s < a.n_states):
-        raise ValueError(f"unknown state {s}")
-    row = a.rows[s]
-    if len(row) == 1:
-        return row[0][0]
-    u = rng.random()
-    acc = 0.0
-    for t, p in row[:-1]:
-        acc += float(p)
-        if u < acc:
-            return t
-    return row[-1][0]
+def reaches(a: Automaton, seeds) -> list[bool]:
+    """Per state, whether some path leads from it into seeds (a seed reaches
+    itself); a backward search over the transition graph."""
+    hit = [s in seeds for s in range(a.n_states)]
+    preds: list[list[int]] = [[] for _ in range(a.n_states)]
+    for s, row in enumerate(a.rows):
+        for t, _ in row:
+            preds[t].append(s)
+    work = [s for s in range(a.n_states) if hit[s]]
+    while work:
+        v = work.pop()
+        for u in preds[v]:
+            if not hit[u]:
+                hit[u] = True
+                work.append(u)
+    return hit
 
 
 class SizeBudgetExceeded(OverflowError):

@@ -21,9 +21,11 @@ from .automaton import (
     SizeBudgetExceeded,
     chi,
     min_probability,
+    reaches,
     step_distribution,
     validate,
 )
+from .engine import cumulative_table
 from .rng import stream_keys, uniforms_at
 
 # ---------------------------------------------------------------------------
@@ -203,13 +205,18 @@ def _global_class_stationary(a: Automaton, states: tuple[int, ...], max_bits: in
     return {s: sol[i] for i, s in enumerate(states)}
 
 
-def _float_stationary_tau(a: Automaton, rec: RecurrentClass, tau: int, tol: float = 1e-12) -> dict[int, float]:
-    G = rec.cyclic_classes[tau]
+def _float_matrix(a: Automaton) -> np.ndarray:
+    """Dense float64 transition matrix, for the fallbacks past the size budget."""
     full = np.zeros((a.n_states, a.n_states))
     for s, row in enumerate(a.rows):
         for t, p in row:
             full[s, t] += float(p)
-    M = np.linalg.matrix_power(full, rec.period)[np.ix_(G, G)]
+    return full
+
+
+def _float_stationary_tau(a: Automaton, rec: RecurrentClass, tau: int, tol: float = 1e-12) -> dict[int, float]:
+    G = rec.cyclic_classes[tau]
+    M = np.linalg.matrix_power(_float_matrix(a), rec.period)[np.ix_(G, G)]
     v = np.full(len(G), 1.0 / len(G))
     for _ in range(1_000_000):
         v2 = v @ M
@@ -277,9 +284,6 @@ def rosenthal_bound(epsilon, k: int, k0: int):
     return (1 - epsilon) ** (k // k0)
 
 
-minorization_bound = rosenthal_bound
-
-
 def mixing_certificate(a: Automaton, rec, tau: int, beta: int, max_bits: int = 200_000) -> dict:
     """Check measured convergence on one cyclic class against the generic bound.
 
@@ -312,10 +316,7 @@ def mixing_certificate(a: Automaton, rec, tau: int, beta: int, max_bits: int = 2
             restricted = {u: dist[u] for u in G}
         except SizeBudgetExceeded:
             exact = False
-            full = np.zeros((n, n))
-            for u, row in enumerate(a.rows):
-                for v, p in row:
-                    full[u, v] += float(p)
+            full = _float_matrix(a)
             vec = np.zeros(n)
             vec[s] = 1.0
             for _ in range(beta_used):
@@ -578,18 +579,8 @@ def recurrence_arrival_check(
     horizon = max_steps if r0 is None else min(r0, max_steps)
     capped = r0 is None or horizon < r0
 
-    n = a.n_states
-    max_row = max(len(row) for row in a.rows)
-    cum = np.full((n, max_row), 2.0)
-    tgt = np.zeros((n, max_row), dtype=np.int64)
-    for s, row in enumerate(a.rows):
-        acc = Fraction(0)
-        for j, (t, p) in enumerate(row):
-            acc += p
-            cum[s, j] = min(float(acc), 1.0)
-            tgt[s, j] = t
-        cum[s, len(row) - 1] = 1.0
-    in_rec = np.zeros(n, dtype=bool)
+    cum, tgt = cumulative_table(a.rows)
+    in_rec = np.zeros(a.n_states, dtype=bool)
     in_rec[list(rec_states)] = True
 
     keys = stream_keys(seed, np.arange(trials, dtype=np.uint64), np.zeros(trials, dtype=np.uint64))
@@ -629,19 +620,7 @@ def absorption_probabilities(a: Automaton, targets, max_bits: int = 200_000) -> 
     n = a.n_states
     if not targets or any(t < 0 or t >= n for t in targets):
         raise ValueError("targets must be a nonempty subset of states")
-    adj = _adjacency(a)
-    can_reach = [s in targets for s in range(n)]
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for s in range(n):
-        for t in adj[s]:
-            preds[t].append(s)
-    work = [s for s in range(n) if can_reach[s]]
-    while work:
-        v = work.pop()
-        for u in preds[v]:
-            if not can_reach[u]:
-                can_reach[u] = True
-                work.append(u)
+    can_reach = reaches(a, targets)
     unknown = [s for s in range(n) if can_reach[s] and s not in targets]
     pos = {s: i for i, s in enumerate(unknown)}
     m = len(unknown)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation error, 2 verification-suite failure.
 All randomized commands require --seed; outputs are byte-deterministic for
-a given seed regardless of --jobs.
+a given seed.  Trial chunks run serially; --jobs is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
-from .algorithms import build_from_spec
+from .algorithms import KINDS, build_from_spec
 from .automaton import chi, from_json, min_probability, to_json, validate
 from .chain_analysis import analyze_report
 from .experiments import (
@@ -34,45 +33,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Per-kind parameter order and which flags may fill in missing parameters.
-_FLAG_PARAMS = {
-    "nonuniform": ["D"],
-    "nonuniform-search": ["D", "l"],
-    "coin": ["k", "l"],
-    "walk": ["k", "l", "dir"],
-    "search": ["k", "l"],
-    "uniform": ["l", "n", "K", "cap"],
-    "walkbaseline": [],
-}
-
-
 def _effective_spec(alg: str, args) -> str:
     """Merge --D/--l/--K/--cap/--n flag values into an algorithm spec string
-    that does not already fix them, so `--alg nonuniform --D 8` works."""
+    that does not already fix them, so `--alg nonuniform --D 8` works.
+
+    A flag fills a parameter of the same name, so --n reaches only the
+    uniform kind, whose parameters include the agent count n."""
     if alg.startswith("file:"):
         return alg
     kind, _, rest = alg.partition(":")
     kind = kind.strip()
-    order = _FLAG_PARAMS.get(kind)
-    if order is None:
+    if kind not in KINDS:
         return alg  # let build_from_spec produce the canonical error
+    order = KINDS[kind].params
     present = {}
     for part in rest.split(",") if rest else []:
         key = part.split("=", 1)[0].strip()
         present[key] = part.strip()
-    flags = {
-        "D": getattr(args, "D", None),
-        "l": getattr(args, "l", None),
-        "K": getattr(args, "K", None),
-        "cap": getattr(args, "cap", None),
-        "n": getattr(args, "n", None) if kind == "uniform" else None,
-    }
     parts = []
     for key in order:
         if key in present:
             parts.append(present[key])
-        elif flags.get(key) is not None:
-            parts.append(f"{key}={flags[key]}")
+        elif getattr(args, key, None) is not None:
+            parts.append(f"{key}={getattr(args, key)}")
     for key, frag in present.items():
         if key not in order:
             parts.append(frag)
@@ -165,6 +148,8 @@ def _cmd_simulate(args) -> int:
     if args.D is None and (args.target in ("corner", "uniform") or args.budget is None):
         raise ValueError("simulate needs --D (for the target and the default budget)")
     target = _parse_target(args.target, args.D)
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     budget = args.budget if args.budget is not None else _default_budget(args.D, args.n)
     if args.trace:
         if args.trials != 1 or args.n != 1:
@@ -185,7 +170,6 @@ def _cmd_simulate(args) -> int:
         D=args.D,
         ell=args.l,
         algorithm=args.alg,
-        jobs=args.jobs,
     )
     result = run_experiment(cfg)
     if args.format == "csv":
@@ -223,10 +207,15 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"sweep file {args.file}: missing required key {key!r}")
     if "budget" not in plan and "budget_factor" not in plan:
         raise ValueError(f"sweep file {args.file}: needs either 'budget' or 'budget_factor'")
+    for key in ("D", "n", "l"):
+        if key in plan and not (
+            isinstance(plan[key], list) and all(type(v) is int and v >= 1 for v in plan[key])
+        ):
+            raise ValueError(f"sweep file {args.file}: {key!r} must be a list of positive integers")
     template = plan["algorithm"]
-    Ds = list(plan["D"])
-    ns = list(plan["n"])
-    ells = list(plan["l"]) if "l" in plan else [None]
+    Ds = plan["D"]
+    ns = plan["n"]
+    ells = plan.get("l", [None])
     trials = int(plan["trials"])
     rows = []
     for D in Ds:
@@ -258,7 +247,6 @@ def _cmd_sweep(args) -> int:
                     D=D,
                     ell=ell,
                     algorithm=alg,
-                    jobs=args.jobs,
                 )
                 rows.append(run_experiment(cfg).row)
     if args.format == "json":
@@ -291,6 +279,10 @@ def _cmd_export(args) -> int:
     return 0
 
 
+# Kept so that existing command lines still parse; chunks always run serially.
+_JOBS_HELP = "accepted and ignored (no-op); trial chunks run serially"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="antsearch", description="Grid-search automata: simulate and analyze.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -320,7 +312,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=1, help="number of independent trials (default 1)")
     p.add_argument("--budget", type=int, help="move budget per agent (default 64*(D^2/n + D))")
     p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker threads")
+    p.add_argument("--jobs", type=int, help=_JOBS_HELP)
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--format", choices=["csv", "json"], default="json", help="output format")
     p.add_argument("--trace", action="store_true", help="emit one agent's step trace (trials=1, n=1)")
@@ -333,7 +325,7 @@ def _build_parser() -> _Parser:
     p = add("sweep", _cmd_sweep, "run a declarative sweep plan (JSON file)")
     p.add_argument("file", help="sweep plan JSON file")
     p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker threads")
+    p.add_argument("--jobs", type=int, help=_JOBS_HELP)
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv", help="output format")
 

@@ -4,8 +4,8 @@ Walkers advance sojourn by sojourn: each event draws the length of the stay
 in the current state (the self-loop count, geometric via inverse CDF) and one
 exit transition.  Every event consumes exactly two uniforms from the walker's
 counter-based stream, so a trajectory is a pure function of
-(master seed, trial, agent) and never depends on batch composition, chunking,
-or thread scheduling.
+(master seed, trial, agent) and never depends on batch composition or
+chunking.
 
 Termination statuses:
   FOUND       landed on the target with a move action
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .automaton import ACTION_DELTA, Action, Automaton, validate
+from .automaton import ACTION_DELTA, Action, Automaton, reaches, validate
 from .rng import uniforms_at
 
 ACTIVE = 0
@@ -62,6 +62,31 @@ class EngineTables:
     exit_target: np.ndarray  # int64 (n, max_out)
 
 
+def cumulative_table(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Float CDF and target matrices of (target, probability) rows.
+
+    Each row is normalised by its own total, so a row with its self-loop
+    removed becomes the exit law.  Columns are padded with 2.0, above any
+    uniform, and a nonempty row's last entry is pinned to 1.0 so float
+    rounding can never let a draw run past the row; an empty row stays all
+    padding.  A uniform u selects column (u > cum[s]).sum().
+    """
+    width = max(1, max(len(row) for row in rows))
+    cum = np.full((len(rows), width), 2.0)
+    target = np.zeros((len(rows), width), dtype=np.int64)
+    for s, row in enumerate(rows):
+        if not row:
+            continue
+        total = sum(p for _, p in row)
+        acc = Fraction(0)
+        for j, (t, p) in enumerate(row):
+            acc += p
+            cum[s, j] = min(float(acc / total), 1.0)
+            target[s, j] = t
+        cum[s, len(row) - 1] = 1.0
+    return cum, target
+
+
 @lru_cache(maxsize=128)
 def build_tables(a: Automaton) -> EngineTables:
     report = validate(a)
@@ -72,14 +97,9 @@ def build_tables(a: Automaton) -> EngineTables:
     absorbing = np.zeros(n, dtype=bool)
     exits: list[list[tuple[int, Fraction]]] = []
     for s, row in enumerate(a.rows):
-        q = Fraction(0)
-        out: list[tuple[int, Fraction]] = []
-        for t, p in row:
-            if t == s:
-                q += p
-            else:
-                out.append((t, p))
-        exits.append(out)
+        q = sum((p for t, p in row if t == s), Fraction(0))
+        # an absorbing state has no exit; the row stays empty (all padding)
+        exits.append([(t, p) for t, p in row if t != s])
         if q == 1:
             absorbing[s] = True
             qself[s] = 1.0
@@ -91,19 +111,7 @@ def build_tables(a: Automaton) -> EngineTables:
                 "this machine cannot be simulated at float resolution"
             )
         qself[s] = qf
-    max_out = max(1, max(len(out) for out in exits))
-    exit_cum = np.full((n, max_out), 2.0)
-    exit_target = np.zeros((n, max_out), dtype=np.int64)
-    for s, out in enumerate(exits):
-        if absorbing[s] or not out:
-            continue
-        total = sum(p for _, p in out)
-        acc = Fraction(0)
-        for j, (t, p) in enumerate(out):
-            acc += p
-            exit_cum[s, j] = min(float(acc / total), 1.0)
-            exit_target[s, j] = t
-        exit_cum[s, len(out) - 1] = 1.0
+    exit_cum, exit_target = cumulative_table(exits)
 
     is_move = np.zeros(n, dtype=bool)
     is_origin = np.zeros(n, dtype=bool)
@@ -115,21 +123,7 @@ def build_tables(a: Automaton) -> EngineTables:
         dx[s], dy[s] = d
         is_move[s] = d != (0, 0)
 
-    # reverse reachability to any move-labeled state
-    reach_move = list(is_move)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for s, row in enumerate(a.rows):
-        for t, _ in row:
-            if t != s:
-                preds[t].append(s)
-    work = [s for s in range(n) if reach_move[s]]
-    while work:
-        v = work.pop()
-        for u in preds[v]:
-            if not reach_move[u]:
-                reach_move[u] = True
-                work.append(u)
-    reach_move = np.array(reach_move, dtype=bool)
+    reach_move = np.array(reaches(a, set(np.flatnonzero(is_move).tolist())), dtype=bool)
     # In a machine with moves, any move-unreachable state is a dead end worth
     # halting at once (it may still shuffle between none-states forever).  In
     # a move-free machine (a bare coin), only absorption ends the run.

@@ -1,15 +1,13 @@
 """Seeded simulation campaigns and the finite-scale verification suite.
 
-Everything here is deterministic given a master seed: experiment chunking
-is fixed (independent of the worker count), every random draw is addressed
-by (seed, trial, agent, draw index), and aggregate rows carry the exact
-parameters that produced them.
+Everything here is deterministic given a master seed: chunks run serially
+in trial order, every random draw is addressed by (seed, trial, agent, draw
+index), and aggregate rows carry the exact parameters that produced them.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,12 +26,12 @@ from .algorithms import (
 )
 from .automaton import Automaton, min_probability
 from .chain_analysis import coverage_mask, reach_bound
-from .engine import build_tables, run_batch
-from .grid_sim import TargetSpec, default_step_cap, swarm_from_batch
+from .engine import build_tables, cumulative_table, run_batch
+from .grid_sim import TargetSpec, batch_inputs, default_step_cap, swarm_from_batch
 from .rng import WalkerStream, stream_keys, uniforms_at
 
-# Trials are simulated in fixed-size walker chunks so that results are
-# byte-identical regardless of how many worker threads consume them.
+# Trials are simulated in walker chunks of about this size to bound memory.
+# A trajectory does not depend on the batch it runs in, so neither do results.
 _CHUNK_WALKERS = 4096
 
 
@@ -48,7 +46,6 @@ class ExperimentConfig:
     D: int | None = None
     ell: int | None = None
     algorithm: str = ""
-    jobs: int = 1
     step_cap: int | None = None
 
 
@@ -59,18 +56,11 @@ class ExperimentResult:
 
 
 def _chunk_records(tables, cfg: ExperimentConfig, t0: int, t1: int, step_cap: int) -> list[dict]:
-    m = t1 - t0
     n = cfg.n
-    trials_arr = np.repeat(np.arange(t0, t1, dtype=np.uint64), n)
-    agents_arr = np.tile(np.arange(n, dtype=np.uint64), m)
-    keys = stream_keys(cfg.master_seed, trials_arr, agents_arr)
-    trial_idx = np.repeat(np.arange(m, dtype=np.int64), n)
-    targets = [cfg.target.resolve(cfg.master_seed, t) for t in range(t0, t1)]
-    tx = np.repeat(np.array([t[0] for t in targets], dtype=np.int64), n)
-    ty = np.repeat(np.array([t[1] for t in targets], dtype=np.int64), n)
+    targets, keys, trial_idx, tx, ty = batch_inputs(cfg.master_seed, cfg.target, range(t0, t1), np.arange(n))
     res = run_batch(tables, keys, trial_idx, tx, ty, cfg.budget, step_cap)
     records = []
-    for j in range(m):
+    for j in range(t1 - t0):
         sw = swarm_from_batch(res, range(j * n, (j + 1) * n), targets[j])
         records.append(
             {
@@ -108,15 +98,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     step_cap = cfg.step_cap if cfg.step_cap is not None else default_step_cap(cfg.budget)
 
     chunk_trials = max(1, _CHUNK_WALKERS // cfg.n)
-    bounds = [(t0, min(t0 + chunk_trials, cfg.trials)) for t0 in range(0, cfg.trials, chunk_trials)]
-    jobs = max(1, cfg.jobs)
-    if jobs == 1 or len(bounds) == 1:
-        parts = [_chunk_records(tables, cfg, t0, t1, step_cap) for t0, t1 in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_chunk_records, tables, cfg, t0, t1, step_cap) for t0, t1 in bounds]
-            parts = [f.result() for f in futures]
-    records = [rec for part in parts for rec in part]
+    records = []
+    for t0 in range(0, cfg.trials, chunk_trials):
+        records.extend(_chunk_records(tables, cfg, t0, min(t0 + chunk_trials, cfg.trials), step_cap))
 
     m_moves = np.array([r["m_moves"] for r in records], dtype=np.float64)
     found = np.array([r["found"] for r in records], dtype=bool)
@@ -323,26 +307,11 @@ def coverage_experiment(
     cells = side * side
     origin_cell = D * side + D
     walkers = trials * n
-    keys = stream_keys(
-        seed,
-        np.repeat(np.arange(trials, dtype=np.uint64), n),
-        np.tile(np.arange(n, dtype=np.uint64), trials),
-    )
+    # one sampled uniform target per trial, for the empirical hit rate
+    targets, keys, _, _, _ = batch_inputs(seed, TargetSpec.uniform(D), range(trials), np.arange(n))
 
-    # Full cumulative rows (self-loop included): one uniform draw per step.
-    ns = tables.n_states
-    max_out = max(len(a.rows[s]) for s in range(ns))
-    cum = np.full((ns, max_out), 2.0, dtype=np.float64)
-    tgt = np.zeros((ns, max_out), dtype=np.int64)
-    for s in range(ns):
-        out = a.rows[s]
-        total = sum(p for _, p in out)
-        acc = Fraction(0)
-        for j, (t, p) in enumerate(out):
-            acc += p
-            cum[s, j] = min(float(acc / total), 1.0)
-            tgt[s, j] = t
-        cum[s, len(out) - 1] = 1.0
+    # Full rows (self-loop included): one uniform draw per step.
+    cum, tgt = cumulative_table(a.rows)
 
     is_move = tables.is_move
     is_origin = tables.is_origin
@@ -382,12 +351,7 @@ def coverage_experiment(
     # Exact hit probability for a uniform non-origin target, given the paths:
     # per trial it is (union size excluding the origin) / (cells - 1).
     hit_probability = float(((union.sum(axis=1) - 1) / (cells - 1)).mean())
-    spec_uniform = TargetSpec.uniform(D)
-    hits = 0
-    for trial in range(trials):
-        tx, ty = spec_uniform.resolve(seed, trial)
-        if union[trial, (tx + D) * side + (ty + D)]:
-            hits += 1
+    hits = sum(bool(union[trial, (tx + D) * side + (ty + D)]) for trial, (tx, ty) in enumerate(targets))
 
     mask = coverage_mask(a, D, delta, w)
     if post is None:

@@ -128,6 +128,28 @@ def _agent_run(res: BatchResult, i: int, events: list | None = None) -> AgentRun
     )
 
 
+def batch_inputs(master_seed: int, target, trials: range, agents) -> tuple:
+    """Engine inputs for every (trial, agent) pair, trial-major.
+
+    Returns (targets, keys, trial_idx, target_x, target_y): the resolved
+    target of each trial, then per walker its stream key, its trial's index
+    within the batch, and that trial's target coordinates.
+    """
+    spec = _as_target(target)
+    agents = np.asarray(agents, dtype=np.uint64)
+    n = agents.size
+    targets = [spec.resolve(master_seed, t) for t in trials]
+    keys = stream_keys(
+        master_seed,
+        np.repeat(np.arange(trials.start, trials.stop, dtype=np.uint64), n),
+        np.tile(agents, len(trials)),
+    )
+    trial_idx = np.repeat(np.arange(len(trials), dtype=np.int64), n)
+    tx = np.repeat(np.array([t[0] for t in targets], dtype=np.int64), n)
+    ty = np.repeat(np.array([t[1] for t in targets], dtype=np.int64), n)
+    return targets, keys, trial_idx, tx, ty
+
+
 def run_agent(
     a: Automaton,
     target,
@@ -141,20 +163,9 @@ def run_agent(
     """Run one agent to termination; a batch of one, so it reproduces exactly
     the trajectory the same (trial, agent) pair would take inside any swarm."""
     tables = build_tables(a)
-    spec = _as_target(target)
-    tx, ty = spec.resolve(master_seed, trial)
-    keys = stream_keys(master_seed, np.full(1, trial, dtype=np.uint64), np.full(1, agent, dtype=np.uint64))
+    _, keys, trial_idx, tx, ty = batch_inputs(master_seed, target, range(trial, trial + 1), [agent])
     cap = default_step_cap(budget) if step_cap is None else step_cap
-    res = engine.run_batch(
-        tables,
-        keys,
-        np.zeros(1, dtype=np.int64),
-        np.full(1, tx, dtype=np.int64),
-        np.full(1, ty, dtype=np.int64),
-        budget,
-        cap,
-        record=record,
-    )
+    res = engine.run_batch(tables, keys, trial_idx, tx, ty, budget, cap, record=record)
     return _agent_run(res, 0, events=res.events)
 
 
@@ -176,24 +187,10 @@ def run_swarm(
     if n < 1:
         raise ValueError("n must be >= 1")
     tables = build_tables(a)
-    spec = _as_target(target)
-    tx, ty = spec.resolve(master_seed, trial)
-    keys = stream_keys(
-        master_seed,
-        np.full(n, trial, dtype=np.uint64),
-        np.arange(n, dtype=np.uint64),
-    )
+    targets, keys, trial_idx, tx, ty = batch_inputs(master_seed, target, range(trial, trial + 1), np.arange(n))
     cap = default_step_cap(budget) if step_cap is None else step_cap
-    res = engine.run_batch(
-        tables,
-        keys,
-        np.zeros(n, dtype=np.int64),
-        np.full(n, tx, dtype=np.int64),
-        np.full(n, ty, dtype=np.int64),
-        budget,
-        cap,
-    )
-    return swarm_from_batch(res, list(range(n)), (tx, ty))
+    res = engine.run_batch(tables, keys, trial_idx, tx, ty, budget, cap)
+    return swarm_from_batch(res, list(range(n)), targets[0])
 
 
 def swarm_from_batch(res: BatchResult, idx: list[int], target: tuple[int, int]) -> SwarmResult:

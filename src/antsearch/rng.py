@@ -1,9 +1,9 @@
 """Counter-based random streams, one per (trial, agent) pair.
 
 Draw number ``e`` of a stream is a pure function of (master_seed, trial,
-agent, e).  Nothing about batching, thread count, or execution order can
-change a draw, which is what makes every randomized result in this package
-bit-reproducible under any parallelism.
+agent, e).  Nothing about batching or execution order can change a draw,
+which is what makes every randomized result in this package
+bit-reproducible.
 
 The mixer is SplitMix64 (Steele, Lea and Flood, "Fast splittable
 pseudorandom number generators"), used in counter mode: the stream key is a
@@ -99,11 +99,6 @@ class WalkerStream:
         u = uniform_at(self.key, self.drawn)
         self.drawn += 1
         return u
-
-    def pair(self) -> tuple[float, float]:
-        u1 = self.random()
-        u2 = self.random()
-        return u1, u2
 
 
 def aux_stream(master_seed: int, trial: int) -> WalkerStream:

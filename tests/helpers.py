@@ -24,6 +24,24 @@ from antsearch.engine import (
 )
 from antsearch.rng import stream_key, uniforms_at
 
+# One parameter set per machine kind of algorithms.KINDS, in spec order.
+KIND_EXAMPLES = {
+    "nonuniform": {"D": 8},
+    "nonuniform-search": {"D": 16, "l": 2},
+    "coin": {"k": 3, "l": 2},
+    "walk": {"k": 2, "l": 1, "dir": "up"},
+    "search": {"k": 2, "l": 1},
+    "uniform": {"l": 1, "n": 4, "K": 2, "cap": 3},
+    "walkbaseline": {},
+}
+
+
+def kind_spec(kind: str, params: dict) -> str:
+    """The explicit spec string, e.g. uniform:l=1,n=4."""
+    if not params:
+        return kind
+    return kind + ":" + ",".join(f"{k}={v}" for k, v in params.items())
+
 
 # ---------------------------------------------------------------------------
 # exact visit/hit probability, one excursion from the start state

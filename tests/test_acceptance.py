@@ -161,7 +161,6 @@ def test_criterion_4_scaling_and_speedup():
             n=n,
             D=D,
             algorithm=f"nonuniform:D={D}",
-            jobs=4,
         )
         return run_experiment(cfg).row
 
@@ -290,7 +289,6 @@ def test_criterion_8_coverage_contrast():
         D=D,
         ell=2,
         algorithm="nonuniform-search:D=256,l=2",
-        jobs=4,
     )
     find = run_experiment(cfg).row["find_rate"]
     elapsed = time.perf_counter() - t0

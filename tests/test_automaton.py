@@ -13,13 +13,11 @@ from antsearch.automaton import (
     make_automaton,
     min_probability,
     resolution_exponent,
-    sample_step,
     step_distribution,
     to_json,
     validate,
 )
 from antsearch.algorithms import build_from_spec
-from antsearch.rng import WalkerStream
 
 SPECS = [
     "nonuniform:D=2",
@@ -144,27 +142,6 @@ def test_step_distribution_rejects_bad_init():
         step_distribution(a, (Fraction(1, 2), Fraction(1, 3)), 1)
     with pytest.raises(ValueError):
         step_distribution(a, (Fraction(1), Fraction(0)), -1)
-
-
-def test_sample_step_frequencies():
-    a = make_automaton(
-        0,
-        [Action.ORIGIN, Action.NONE, Action.UP],
-        [
-            [(0, Fraction(1, 8)), (1, Fraction(3, 8)), (2, Fraction(1, 2))],
-            [(0, 1)],
-            [(0, 1)],
-        ],
-    )
-    stream = WalkerStream(17)
-    N = 20_000
-    counts = {0: 0, 1: 0, 2: 0}
-    for _ in range(N):
-        counts[sample_step(a, 0, stream)] += 1
-    for t, p in a.rows[0]:
-        pf = float(p)
-        sigma = math.sqrt(pf * (1 - pf) / N)
-        assert abs(counts[t] / N - pf) <= 5 * sigma
 
 
 def test_json_round_trip_builders():

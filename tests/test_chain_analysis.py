@@ -26,7 +26,6 @@ from antsearch.chain_analysis import (
     decompose,
     drift_profile,
     inf_norm_distance,
-    minorization_bound,
     mixing_certificate,
     predict_coverage,
     reach_bound,
@@ -216,7 +215,6 @@ def test_rosenthal_bound_values():
     assert rosenthal_bound(F(1, 2), 3, 2) == F(1, 2)
     assert rosenthal_bound(1, 5, 2) == 0
     assert rosenthal_bound(F(1, 4), 0, 3) == 1
-    assert minorization_bound is rosenthal_bound
     for eps, k, k0 in ((0, 1, 1), (F(3, 2), 1, 1), (F(1, 2), 1, 0), (F(1, 2), -1, 1)):
         with pytest.raises(ValueError):
             rosenthal_bound(eps, k, k0)

@@ -9,8 +9,11 @@ import pytest
 from antsearch.algorithms import build_from_spec, build_random_walk_baseline
 from antsearch.automaton import ACTION_DELTA, Action, chi, from_json
 from antsearch.chain_analysis import analyze_report
-from antsearch.cli import main
+from antsearch.algorithms import KINDS
+from antsearch.cli import _build_parser, _effective_spec, main
 from antsearch.experiments import SWEEP_COLUMNS, coverage_experiment
+
+from helpers import KIND_EXAMPLES, kind_spec
 
 
 def run_cli(argv, capsys):
@@ -43,6 +46,24 @@ def test_chi_flags_merge_into_spec(capsys):
     rc2, out2, _ = run_cli(["chi", "--alg", "nonuniform:D=256"], capsys)
     assert rc1 == rc2 == 0
     assert out1 == out2 == "b=3 ℓ=16 χ=7\nstates=5 p_min=1/65536\n"
+
+
+_FLAGS = ("D", "l", "K", "cap", "n")
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_EXAMPLES))
+def test_flags_merge_like_explicit_spec_for_every_kind(kind, capsys):
+    # e.g. --alg uniform --l 1 --n 4 ... equals uniform:l=1,n=4,...
+    assert set(KIND_EXAMPLES) == set(KINDS)
+    params = KIND_EXAMPLES[kind]
+    explicit = kind_spec(kind, params)
+    flagged = kind_spec(kind, {k: v for k, v in params.items() if k not in _FLAGS})
+    flags = [arg for k, v in params.items() if k in _FLAGS for arg in (f"--{k}", str(v))]
+    argv = ["export-automaton", "--alg", flagged, *flags]
+    assert _effective_spec(flagged, _build_parser().parse_args(argv)) == explicit
+    rc1, out1, _ = run_cli(argv, capsys)
+    rc2, out2, _ = run_cli(["export-automaton", "--alg", explicit], capsys)
+    assert rc1 == rc2 == 0 and out1 == out2
 
 
 def test_chi_unknown_kind_exits_1(capsys):
@@ -151,6 +172,16 @@ def test_simulate_trace_needs_single_walker(capsys):
     )
     assert rc == 1
     assert "--trace requires --trials 1 and --n 1" in err
+
+
+def test_simulate_zero_agents_exits_1(capsys):
+    # without --budget the default budget would divide by n
+    rc, out, err = run_cli(
+        ["simulate", "--alg", "nonuniform:D=4", "--target", "corner", "--D", "4", "--n", "0", "--seed", "1"],
+        capsys,
+    )
+    assert rc == 1 and out == ""
+    assert err == "error: --n must be >= 1\n"
 
 
 def test_simulate_corner_target_needs_D(capsys):
@@ -306,6 +337,14 @@ def test_sweep_bad_template_field(tmp_path, capsys):
     rc, _, err = run_cli(["sweep", str(path), "--seed", "0"], capsys)
     assert rc == 1
     assert "references unknown field" in err
+
+
+@pytest.mark.parametrize("key,value", [("D", 8), ("n", 1), ("l", 2), ("D", ["8"]), ("n", [0])])
+def test_sweep_axis_must_be_list_of_positive_ints(tmp_path, capsys, key, value):
+    path = _write_plan(tmp_path, **{key: value})
+    rc, out, err = run_cli(["sweep", str(path), "--seed", "0"], capsys)
+    assert rc == 1 and out == ""
+    assert err == f"error: sweep file {path}: {key!r} must be a list of positive integers\n"
 
 
 def test_sweep_invalid_json(tmp_path, capsys):

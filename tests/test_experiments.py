@@ -1,4 +1,4 @@
-"""Experiment-layer tests: aggregation, parallel determinism, sweeps,
+"""Experiment-layer tests: aggregation, chunking invariance, sweeps,
 coverage measurements, and the verification suite."""
 
 import math
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from antsearch.algorithms import build_nonuniform, walk_automaton
+from antsearch import experiments
 from antsearch.automaton import Action, make_automaton
 from antsearch.experiments import (
     SWEEP_COLUMNS,
@@ -105,34 +106,38 @@ def test_unfound_trials_charge_the_budget():
         assert rec["exhausted"] and rec["m_moves"] == 17 and rec["finder"] is None
 
 
-def test_jobs_do_not_change_records_single_agent():
-    # 5000 trials split across two chunks; thread count must not matter
-    base = dict(
+def _chunk_size_invariant(monkeypatch, cfg):
+    # A trajectory must not depend on the batch it runs in: records and row
+    # are the same with many small chunks and with one chunk per experiment.
+    runs = []
+    for walkers in (7, 2**20):
+        monkeypatch.setattr(experiments, "_CHUNK_WALKERS", walkers)
+        runs.append(run_experiment(cfg))
+    assert runs[0].records == runs[1].records
+    assert runs[0].row == runs[1].row
+
+
+def test_chunk_size_does_not_change_records_single_agent(monkeypatch):
+    cfg = ExperimentConfig(
         automaton=_right_walker(),
         target=TargetSpec.fixed(5, 0),
         trials=5000,
         budget=10,
         master_seed=9,
     )
-    r1 = run_experiment(ExperimentConfig(**base, jobs=1))
-    r4 = run_experiment(ExperimentConfig(**base, jobs=4))
-    assert r1.records == r4.records
-    assert r1.row == r4.row
+    _chunk_size_invariant(monkeypatch, cfg)
 
 
-def test_jobs_do_not_change_records_swarm():
-    base = dict(
+def test_chunk_size_does_not_change_records_swarm(monkeypatch):
+    cfg = ExperimentConfig(
         automaton=build_nonuniform(4),
         target=TargetSpec.uniform(4),
         trials=20,
         budget=300,
         master_seed=21,
-        n=512,  # forces several chunks through the executor
+        n=512,  # wider than 7 walkers: one trial per chunk, spread over 20
     )
-    r1 = run_experiment(ExperimentConfig(**base, jobs=1))
-    r3 = run_experiment(ExperimentConfig(**base, jobs=3))
-    assert r1.records == r3.records
-    assert r1.row == r3.row
+    _chunk_size_invariant(monkeypatch, cfg)
 
 
 def test_records_match_manual_swarm_runs():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from antsearch.algorithms import (
+    KINDS,
     build_from_spec,
     build_nonuniform,
     build_nonuniform_search,
@@ -12,7 +13,7 @@ from antsearch.algorithms import (
     walk_automaton,
 )
 from antsearch.automaton import Action, make_automaton
-from antsearch.engine import build_tables, run_batch
+from antsearch.engine import build_tables, cumulative_table, run_batch
 from antsearch.grid_sim import (
     TargetSpec,
     apply_action,
@@ -23,7 +24,7 @@ from antsearch.grid_sim import (
 )
 from antsearch.rng import stream_keys
 
-from helpers import reference_run_agent
+from helpers import KIND_EXAMPLES, kind_spec, reference_run_agent
 
 
 def _right_walker():
@@ -210,3 +211,27 @@ def test_run_batch_rejects_bad_inputs():
         run_batch(tables, keys, zero, one, one, budget=10, step_cap=0)
     with pytest.raises(ValueError, match=r"\(0,0\)"):
         run_batch(tables, keys, zero, zero, zero, budget=10, step_cap=10)
+
+
+def _assert_exact_cdf(rows, cum, target):
+    # Each column holds the float of the exact Fraction CDF of its row (so the
+    # last one is exactly 1.0); padding sits above any uniform.
+    for s, row in enumerate(rows):
+        total = sum(p for _, p in row)
+        acc = Fraction(0)
+        for j, (t, p) in enumerate(row):
+            acc += p
+            assert cum[s, j] == float(acc / total)
+            assert target[s, j] == t
+        assert (cum[s, len(row):] > 1.0).all()
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_EXAMPLES))
+def test_cumulative_tables_match_exact_cdf(kind):
+    assert set(KIND_EXAMPLES) == set(KINDS)
+    a, _ = build_from_spec(kind_spec(kind, KIND_EXAMPLES[kind]))
+    cum, target = cumulative_table(a.rows)
+    _assert_exact_cdf(a.rows, cum, target)
+    tables = build_tables(a)
+    exits = [[(t, p) for t, p in row if t != s] for s, row in enumerate(a.rows)]
+    _assert_exact_cdf(exits, tables.exit_cum, tables.exit_target)
